@@ -35,6 +35,14 @@ fn clock_quiet_on_allowlisted_paths() {
 }
 
 #[test]
+fn e2e_bench_may_time_and_print_but_loader_may_not() {
+    let src = "fn f() { let t = std::time::Instant::now(); eprintln!(\"{t:?}\"); }";
+    assert!(rules_fired("bench_e2e/src/x.rs", src).is_empty());
+    assert_eq!(rules_fired("crates/loader/src/loader.rs", src),
+               ["clock-discipline", "no-debug-output"]);
+}
+
+#[test]
 fn instant_ident_alone_is_not_a_clock_read() {
     // Mentioning the type (fn signatures, struct fields) is fine; only
     // `Instant::now` reads the clock.

@@ -6,9 +6,16 @@
 //!
 //! Numbers to look for in the output:
 //!
-//! * `images/s` must grow ≥2x going from 1 to 4 workers (storage latency
-//!   overlapped with decode — the wall-clock realization of the paper's
-//!   Appendix A.1 prefetching argument),
+//! * the `in flight` column: each worker keeps up to
+//!   `prefetch_records / workers` reads outstanding, so even one worker
+//!   overlaps storage latency with its own decode — the wall-clock
+//!   realization of the paper's Appendix A.1 prefetching argument. The
+//!   sweep was built to show that overlap as a ≥2x speedup from 1 to 4
+//!   workers; with the read window one worker already hides most of the
+//!   latency — the tiny dataset's 4 records fit in one worker's window —
+//!   and at group 1 the 1 -> 4 worker speedup measured 1.04–1.09x on a
+//!   2-vCPU host. Workers now pay off only where decode, not storage, is
+//!   the bottleneck,
 //! * bytes/image at scan group 1-2 lands ≥2x below full quality (the
 //!   paper's headline traffic saving) while throughput *rises*, and
 //! * the dynamic-fidelity run reads strictly fewer total bytes than the
@@ -84,23 +91,28 @@ fn bench_worker_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Explicit acceptance summary: delivered images/sec per configuration and
-/// the 1 -> 4 worker speedup at each scan group.
+/// Explicit acceptance summary: delivered images/sec and the in-flight
+/// read high-water mark per configuration, and the 1 -> 4 worker speedup
+/// at each scan group.
 fn worker_scaling_summary(workers: &[usize], groups: &[usize]) {
     let (store, db) = setup();
     println!("\nimages/sec (DecodeMode::Real, emulated remote-object-store I/O):");
-    println!("{:>6} {:>8} {:>12} {:>12}", "group", "workers", "images/s", "KiB/image");
+    println!(
+        "{:>6} {:>8} {:>12} {:>12} {:>10}",
+        "group", "workers", "images/s", "KiB/image", "in flight"
+    );
     for &group in groups {
         let mut rates = Vec::with_capacity(workers.len());
         for &w in workers {
             let epoch = loader_for(&store, &db, w, group).run_epoch(0);
             rates.push(epoch.images_per_sec());
             println!(
-                "{:>6} {:>8} {:>12.1} {:>12.1}",
+                "{:>6} {:>8} {:>12.1} {:>12.1} {:>10}",
                 group,
                 w,
                 epoch.images_per_sec(),
-                epoch.mean_image_bytes() / 1024.0
+                epoch.mean_image_bytes() / 1024.0,
+                epoch.inflight_high_water
             );
         }
         if let (Some(first), Some(last)) = (rates.first(), rates.last()) {

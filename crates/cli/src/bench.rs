@@ -23,13 +23,17 @@ OPTIONS:
     --groups <list>    Comma-separated scan groups (default 1,5,10)
     --batch <n>        Minibatch size (default 32)
     --decode <mode>    real | skip (default real: decode pixels)
-    --io <mode>        instant | emulated (default emulated: sleep each
-                       read's modeled device service time)
+    --io <mode>        instant | emulated (default emulated: each read
+                       arrives its modeled device service time after it
+                       is issued; workers keep several reads in flight)
     --readahead <b>    Store readahead in bytes (default 262144)
     --json <path>      Also write the sweep as a JSON report
 
 Every sweep row runs against a freshly loaded store — cold cache, zeroed
 device statistics — so rows are independent, comparable measurements.
+`io wait s` is the summed time workers sat blocked on a read that had not
+yet arrived; `in flight` is the most reads the pool had outstanding at
+once.
 
 With PCR_BENCH_SMOKE=1 the sweep is clamped to 1,2 workers and the
 lowest/highest requested groups, so CI finishes in seconds.";
@@ -48,6 +52,8 @@ struct Row {
     images_per_sec: f64,
     mean_image_bytes: f64,
     cache_hit_rate: f64,
+    io_wait_seconds: f64,
+    inflight_high_water: u64,
 }
 
 pub fn run(argv: &[String]) -> Result<(), String> {
@@ -116,8 +122,17 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 
     let mut rows = Vec::new();
     println!(
-        "\n{:>7} {:>5} {:>7} {:>12} {:>8} {:>9} {:>10} {:>9}",
-        "workers", "group", "images", "bytes", "wall s", "img/s", "bytes/img", "hit rate"
+        "\n{:>7} {:>5} {:>7} {:>12} {:>8} {:>9} {:>10} {:>9} {:>9} {:>9}",
+        "workers",
+        "group",
+        "images",
+        "bytes",
+        "wall s",
+        "img/s",
+        "bytes/img",
+        "hit rate",
+        "io wait s",
+        "in flight"
     );
     for &g in &groups {
         for &w in &workers {
@@ -139,9 +154,11 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 images_per_sec: epoch.images_per_sec(),
                 mean_image_bytes: epoch.mean_image_bytes(),
                 cache_hit_rate: store.cache_hit_rate(),
+                io_wait_seconds: epoch.io_wait_seconds,
+                inflight_high_water: epoch.inflight_high_water,
             };
             println!(
-                "{:>7} {:>5} {:>7} {:>12} {:>8.3} {:>9.1} {:>10.0} {:>9.2}",
+                "{:>7} {:>5} {:>7} {:>12} {:>8.3} {:>9.1} {:>10.0} {:>9.2} {:>9.3} {:>9}",
                 row.workers,
                 row.group,
                 row.images,
@@ -149,7 +166,9 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 row.wall_seconds,
                 row.images_per_sec,
                 row.mean_image_bytes,
-                row.cache_hit_rate
+                row.cache_hit_rate,
+                row.io_wait_seconds,
+                row.inflight_high_water
             );
             rows.push(row);
         }
@@ -176,6 +195,8 @@ fn report_json(dir: &str, rows: &[Row]) -> JsonValue {
                 ("images_per_sec", JsonValue::F64(r.images_per_sec)),
                 ("mean_image_bytes", JsonValue::F64(r.mean_image_bytes)),
                 ("cache_hit_rate", JsonValue::F64(r.cache_hit_rate)),
+                ("io_wait_seconds", JsonValue::F64(r.io_wait_seconds)),
+                ("inflight_high_water", JsonValue::U64(r.inflight_high_water)),
             ])
         })
         .collect();

@@ -18,31 +18,38 @@
 //!
 //! ```text
 //! shared EpochOrder bijection + atomic cursor (no materialized order)
-//!   ├── worker 0 ─ read prefix ─ [emulate I/O] ─ decode ──┐
-//!   ├── worker 1 ─ ...                                    ├─ bounded record
-//!   └── worker W ─ ...                                    │  channel
-//!                                                         ▼  (prefetch_records)
-//!                                             assembler: records → batches
-//!                                                         │  bounded batch
-//!                                                         ▼  channel
-//!                                               consumer (train loop)      (prefetch_batches)
+//!   ├── worker 0 ─ issue reads ─ window of pending reads ─ earliest
+//!   │              (claim while    (≤ prefetch_records     arrived →
+//!   │               earliest is     / threads, each ready   decode ───┐
+//!   │               still pending)  at issue+backoff+service)         │
+//!   ├── worker 1 ─ ...                                                ├─ bounded record
+//!   └── worker W ─ ...                                                │  channel
+//!                                                                     ▼  (prefetch_records)
+//!                                                         assembler: records → batches
+//!                                                                     │  bounded batch
+//!                                                                     ▼  channel
+//!                                                           consumer (train loop)      (prefetch_batches)
 //! ```
 //!
-//! Both channels are bounded, so a slow consumer exerts backpressure all
-//! the way to the reads; `prefetch_batches = 2` is classic double
-//! buffering (one batch being consumed, one staged).
+//! Each worker keeps a small window of reads in flight and decodes a
+//! record only once its read has arrived, so storage latency overlaps
+//! with decoding instead of adding to it. A read that fails, or whose
+//! bytes do not decode, drops to the fidelity ladder shared with the
+//! virtual-time loader ([`crate::retry`]). Both channels are bounded, so
+//! a slow consumer exerts backpressure all the way to the reads;
+//! `prefetch_batches = 2` is classic double buffering (one batch being
+//! consumed, one staged).
 
 use crate::config::{DecodeMode, LoaderConfig};
 use crate::order::EpochOrder;
 use crate::retry::{
-    deliver_with_degradation, DecodeCheck, Delivery, FaultReport, RetryBudget, RetryOutcome,
-    RetryPolicy, Timeline,
+    DecodeCheck, Delivery, FaultReport, Ladder, RetryBudget, RetryOutcome, RetryPolicy, Timeline,
 };
 use crate::source::{ReadPlanner, RecordSource};
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use pcr_core::{MetaDb, RecordScratch};
 use pcr_jpeg::ImageBuf;
-use pcr_storage::ObjectStore;
+use pcr_storage::{ObjectStore, ReadError, ReadResult};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -54,14 +61,18 @@ pub enum IoModel {
     /// scaling then measures pure decode parallelism.
     #[default]
     Instant,
-    /// Sleep each read's modeled service time — the duration the clocked
-    /// store path returns for a [`Clock::Wall`](pcr_storage::Clock::Wall) read — on the issuing
-    /// worker thread. Cached bytes cost only request overhead, so a warm
-    /// page cache speeds emulated I/O exactly as it would a real device.
-    /// Requests to different records are assumed to hit independent
-    /// backends — the remote-object-store regime — so worker counts
-    /// overlap first-byte latencies exactly like a real multi-connection
-    /// loader.
+    /// Each read arrives its modeled service time — the duration the
+    /// clocked store path returns for a
+    /// [`Clock::Wall`](pcr_storage::Clock::Wall) read — after it was
+    /// issued (plus any retry backoff). A worker keeps up to
+    /// `max(1, prefetch_records / threads)` reads in flight and sleeps only
+    /// until the earliest of them arrives, so one worker overlaps several
+    /// first-byte latencies with each other and with its decoding. Cached
+    /// bytes cost only request overhead, so a warm page cache speeds
+    /// emulated I/O exactly as it would a real device. Requests to
+    /// different records are assumed to hit independent backends — the
+    /// remote-object-store regime — so in-flight reads never queue behind
+    /// one another.
     EmulatedLatency,
 }
 
@@ -78,7 +89,10 @@ pub struct ParallelConfig {
     pub loader: LoaderConfig,
     /// Images per delivered [`Minibatch`].
     pub batch_size: usize,
-    /// Bounded depth of the worker → assembler record channel.
+    /// Bounded depth of the worker → assembler record channel, and the
+    /// pool's read window: each worker keeps up to
+    /// `max(1, prefetch_records / threads)` reads in flight (see
+    /// [`IoModel::EmulatedLatency`]).
     pub prefetch_records: usize,
     /// Bounded depth of the assembler → consumer batch channel; 2 is
     /// double buffering.
@@ -152,8 +166,22 @@ pub struct ParallelStats {
     pub images_decoded: AtomicU64,
     /// Total decode nanoseconds summed across workers.
     pub decode_nanos: AtomicU64,
-    /// Total emulated-I/O wait nanoseconds summed across workers.
+    /// Nanoseconds workers spent blocked waiting for a read to arrive —
+    /// the earliest pending read of a worker's window, or a degradation
+    /// ladder rung read synchronously — summed across workers. Reads that
+    /// arrive while their worker decodes other records cost nothing here,
+    /// so with several reads in flight this is the storage time the window
+    /// failed to hide, not the summed service time. It includes the
+    /// backoff of the requested rung's retries, which delays that read's
+    /// arrival.
     pub io_wait_nanos: AtomicU64,
+    /// Most reads the pool has had in flight at once: issued, not yet
+    /// arrived. At most `threads` when reads arrive at once; up to
+    /// `threads × max(1, prefetch_records / threads)` under emulated
+    /// latency.
+    pub inflight_high_water: AtomicU64,
+    /// Reads in flight right now (feeds `inflight_high_water`).
+    inflight: AtomicU64,
     /// Read attempts that were retried (faulted then re-issued).
     pub retries: AtomicU64,
     /// Records delivered below the requested scan group.
@@ -234,6 +262,12 @@ pub struct WallClockEpoch {
     pub wall_seconds: f64,
     /// Summed worker decode seconds (CPU cost of the epoch).
     pub decode_cpu_seconds: f64,
+    /// Summed seconds workers were blocked waiting for reads to arrive
+    /// (see [`ParallelStats::io_wait_nanos`]).
+    pub io_wait_seconds: f64,
+    /// Most reads in flight at once (see
+    /// [`ParallelStats::inflight_high_water`]).
+    pub inflight_high_water: u64,
     /// Retry/degradation/quarantine accounting for the epoch. Clean runs
     /// report [`FaultReport::is_clean`].
     pub faults: FaultReport,
@@ -339,38 +373,27 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
         // no per-record label Vec is ever allocated or copied.
         let (rec_tx, rec_rx) = bounded::<(Vec<ImageBuf>, usize)>(cfg.prefetch_records.max(1));
         let threads = cfg.loader.threads.max(1);
+        let depth = (cfg.prefetch_records / threads).max(1);
         let mut workers = Vec::with_capacity(threads);
         for w in 0..threads {
-            let order = Arc::clone(&order);
-            let cursor = Arc::clone(&cursor);
-            let rec_tx = rec_tx.clone();
-            let store = Arc::clone(&self.store);
-            let source = Arc::clone(&self.source);
-            let stats = Arc::clone(&stats);
-            let decode = cfg.loader.decode;
-            let planner = planner.clone();
-            let io = cfg.io;
-            let segment_workers = cfg.segment_workers.max(1);
-            let retry = cfg.loader.retry.clone();
-            let budget = Arc::clone(&budget);
+            let worker = Worker {
+                order: Arc::clone(&order),
+                cursor: Arc::clone(&cursor),
+                rec_tx: rec_tx.clone(),
+                store: Arc::clone(&self.store),
+                source: Arc::clone(&self.source),
+                stats: Arc::clone(&stats),
+                planner: planner.clone(),
+                decode: cfg.loader.decode,
+                io: cfg.io,
+                segment_workers: cfg.segment_workers.max(1),
+                retry: cfg.loader.retry.clone(),
+                budget: Arc::clone(&budget),
+                depth,
+            };
             let handle = std::thread::Builder::new()
                 .name(format!("pcr-parallel-{w}"))
-                .spawn(move || {
-                    worker_loop(
-                        &order,
-                        &cursor,
-                        &rec_tx,
-                        &store,
-                        &*source,
-                        &stats,
-                        &planner,
-                        decode,
-                        io,
-                        segment_workers,
-                        &retry,
-                        &budget,
-                    )
-                })
+                .spawn(move || worker.run())
                 .expect("spawn worker");
             workers.push(handle);
         }
@@ -452,76 +475,171 @@ impl<S: RecordSource + ?Sized + 'static> ParallelLoader<S> {
             bytes: stats.bytes_read.load(Ordering::Relaxed),
             wall_seconds,
             decode_cpu_seconds: stats.decode_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+            io_wait_seconds: stats.io_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+            inflight_high_water: stats.inflight_high_water.load(Ordering::Relaxed),
             faults: stats.fault_report(),
         }
     }
 }
 
-/// One worker: claim epoch-order positions from the shared atomic
-/// cursor, resolve each to a record index through the streaming
-/// [`EpochOrder`] bijection, read planned prefixes through the clocked
-/// store path — with retry/backoff and fidelity degradation on failure —
-/// realize I/O time, decode, push downstream. Returns when the order is
-/// exhausted or the consumer disappears.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<S: RecordSource + ?Sized>(
-    order: &EpochOrder,
-    cursor: &AtomicUsize,
-    rec_tx: &crossbeam::channel::Sender<(Vec<ImageBuf>, usize)>,
-    store: &ObjectStore,
-    source: &S,
-    stats: &ParallelStats,
-    planner: &ReadPlanner,
+/// One read issued ahead of its decode: the record, its first-rung read
+/// (or the error that ended its retries), the retry counters so far, and
+/// the instant its bytes arrive — issue + backoff + modeled service time.
+struct Pending {
+    idx: usize,
+    read: Result<ReadResult, ReadError>,
+    outcome: RetryOutcome,
+    ready: Instant,
+}
+
+/// One worker of the pool and the epoch state it shares with the others.
+struct Worker<S: RecordSource + ?Sized> {
+    order: Arc<EpochOrder>,
+    cursor: Arc<AtomicUsize>,
+    rec_tx: Sender<(Vec<ImageBuf>, usize)>,
+    store: Arc<ObjectStore>,
+    source: Arc<S>,
+    stats: Arc<ParallelStats>,
+    planner: ReadPlanner,
     decode: DecodeMode,
     io: IoModel,
     segment_workers: usize,
-    retry: &RetryPolicy,
-    budget: &RetryBudget,
-) {
-    let mut scratch = RecordScratch::new();
-    loop {
-        let pos = cursor.fetch_add(1, Ordering::Relaxed);
-        if pos >= order.num_records() {
-            return; // epoch drained
+    retry: RetryPolicy,
+    budget: Arc<RetryBudget>,
+    /// Most reads this worker keeps in flight.
+    depth: usize,
+}
+
+impl<S: RecordSource + ?Sized> Worker<S> {
+    /// Claims epoch-order positions from the shared atomic cursor and
+    /// resolves each to a record index through the streaming
+    /// [`EpochOrder`] bijection; issues each record's read into a window
+    /// of up to `depth` pending reads; then waits for the earliest one to
+    /// arrive, decodes it and pushes it downstream. A new position is
+    /// claimed only while the earliest pending read is still on its way,
+    /// so when reads arrive at once (instant I/O, a warm cache) the window
+    /// holds one record. Returns when the order is exhausted or the
+    /// consumer disappears.
+    fn run(self) {
+        let mut scratch = RecordScratch::new();
+        let mut window: Vec<Pending> = Vec::with_capacity(self.depth);
+        let mut drained = false;
+        loop {
+            while !drained
+                && window.len() < self.depth
+                && earliest(&window).is_none_or(|(_, ready)| ready > Instant::now())
+            {
+                let pos = self.cursor.fetch_add(1, Ordering::Relaxed);
+                if pos >= self.order.num_records() {
+                    drained = true; // epoch drained
+                } else {
+                    window.push(self.issue(self.order.get(pos)));
+                }
+            }
+            let Some((next, ready)) = earliest(&window) else { return };
+            let pending = window.swap_remove(next);
+            self.wait_until(ready);
+            self.stats.inflight.fetch_sub(1, Ordering::Relaxed);
+            if !self.complete(pending, &mut scratch) {
+                return; // consumer gone
+            }
         }
-        let idx = order.get(pos);
-        // The same clocked, cached, counted read path the virtual-time
-        // loader uses — wrapped in retry/backoff, with fidelity
-        // degradation stepping down the scan-group prefix when a range
-        // stays unreadable. Real decode doubles as the integrity check:
-        // silently flipped bits surface as decode failures and degrade
-        // instead of propagating corrupt pixels.
-        let mut decode_check = |read: &pcr_storage::ReadResult, _group: usize| match decode {
+    }
+
+    fn ladder(&self, idx: usize) -> Ladder<'_, S> {
+        Ladder::new(
+            &self.store,
+            &*self.source,
+            idx,
+            self.planner.scan_group,
+            Timeline::Wall,
+            &self.retry,
+            &self.budget,
+        )
+    }
+
+    /// Issues record `idx`'s read at the requested scan group through the
+    /// same clocked, cached, counted read path the virtual-time loader
+    /// uses, retrying transient faults on the spot. Nothing is slept: the
+    /// backoff and the modeled service time set when the read arrives.
+    fn issue(&self, idx: usize) -> Pending {
+        let issued = Instant::now();
+        let ladder = self.ladder(idx);
+        let mut outcome = RetryOutcome::default();
+        let read = ladder.read(ladder.requested, &mut |_| {}, &mut outcome);
+        let service = read.as_ref().map_or(0.0, |r| self.service_s(r));
+        let ready = issued + Duration::from_secs_f64(outcome.backoff_s + service);
+        let inflight = self.stats.inflight.fetch_add(1, Ordering::Relaxed) + 1;
+        self.stats.inflight_high_water.fetch_max(inflight, Ordering::Relaxed);
+        Pending { idx, read, outcome, ready }
+    }
+
+    /// The wall time `read` takes to arrive: its modeled device service
+    /// time under [`IoModel::EmulatedLatency`], nothing otherwise.
+    fn service_s(&self, read: &ReadResult) -> f64 {
+        match self.io {
+            IoModel::EmulatedLatency => (read.finish - read.start).max(0.0),
+            IoModel::Instant => 0.0,
+        }
+    }
+
+    /// Blocks until `ready`, counting the wait as I/O wait.
+    fn wait_until(&self, ready: Instant) {
+        let now = Instant::now();
+        if ready > now {
+            std::thread::sleep(ready - now);
+            let waited = now.elapsed().as_nanos() as u64;
+            self.stats.io_wait_nanos.fetch_add(waited, Ordering::Relaxed);
+        }
+    }
+
+    /// Real decode doubles as the integrity check: silently flipped bits
+    /// surface as decode failures and degrade instead of propagating
+    /// corrupt pixels.
+    fn decode_check(&self, idx: usize, read: &ReadResult, scratch: &mut RecordScratch) -> DecodeCheck {
+        match self.decode {
             DecodeMode::Skip | DecodeMode::Modeled { .. } => DecodeCheck::Accepted,
             DecodeMode::Real => {
                 let t0 = Instant::now();
-                let decoded = source.decode_real_segmented(
+                let decoded = self.source.decode_real_segmented(
                     idx,
                     &read.data,
-                    planner.scan_group,
-                    &mut scratch,
-                    segment_workers,
+                    self.planner.scan_group,
+                    scratch,
+                    self.segment_workers,
                 );
-                stats.decode_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let nanos = t0.elapsed().as_nanos() as u64;
+                self.stats.decode_nanos.fetch_add(nanos, Ordering::Relaxed);
                 match decoded {
                     Some(images) => DecodeCheck::Images(images),
                     None => DecodeCheck::Failed,
                 }
             }
+        }
+    }
+
+    /// Settles an arrived read: decodes it, or — when the read failed or
+    /// its bytes do not decode — walks the rest of the fidelity ladder
+    /// synchronously, sleeping each rung's backoff and its read's modeled
+    /// service time before decoding it. Sends the record downstream;
+    /// false when the consumer is gone.
+    fn complete(&self, pending: Pending, scratch: &mut RecordScratch) -> bool {
+        let Pending { idx, read, mut outcome, ready: _ } = pending;
+        let ladder = self.ladder(idx);
+        let mut decode = |read: &ReadResult, _group: usize| self.decode_check(idx, read, scratch);
+        let delivery = match ladder.settle(ladder.requested, read, &mut decode) {
+            Ok(delivery) => delivery,
+            Err(failed) => ladder.resume(
+                failed,
+                &mut |s| std::thread::sleep(Duration::from_secs_f64(s)),
+                &mut |read, group| {
+                    self.wait_until(Instant::now() + Duration::from_secs_f64(self.service_s(read)));
+                    decode(read, group)
+                },
+                &mut outcome,
+            ),
         };
-        let mut outcome = RetryOutcome::default();
-        let delivery = deliver_with_degradation(
-            store,
-            source,
-            idx,
-            planner.scan_group,
-            Timeline::Wall,
-            retry,
-            budget,
-            &mut |s| std::thread::sleep(Duration::from_secs_f64(s)),
-            &mut decode_check,
-            &mut outcome,
-        );
+        let stats = &self.stats;
         stats.retries.fetch_add(u64::from(outcome.retries), Ordering::Relaxed);
         stats
             .backoff_micros
@@ -531,9 +649,9 @@ fn worker_loop<S: RecordSource + ?Sized>(
             Delivery::Quarantined { reason } => {
                 stats.quarantined_records.fetch_add(1, Ordering::Relaxed);
                 if let Ok(mut q) = stats.quarantine.lock() {
-                    q.note_quarantine(idx, source.labels(idx), reason);
+                    q.note_quarantine(idx, self.source.labels(idx), reason);
                 }
-                continue;
+                return true;
             }
         };
         if degraded {
@@ -541,13 +659,7 @@ fn worker_loop<S: RecordSource + ?Sized>(
         }
         let read_len = read.data.len() as u64;
         stats.bytes_read.fetch_add(read_len, Ordering::Relaxed);
-        if io == IoModel::EmulatedLatency {
-            let service = read.finish - read.start;
-            let t0 = Instant::now();
-            std::thread::sleep(Duration::from_secs_f64(service.max(0.0)));
-            stats.io_wait_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        if let DecodeMode::Modeled { seconds_per_byte } = decode {
+        if let DecodeMode::Modeled { seconds_per_byte } = self.decode {
             // Wall-clock realization of the modeled cost, so modeled
             // and real runs remain comparable end to end.
             let modeled = read_len as f64 * seconds_per_byte;
@@ -560,17 +672,20 @@ fn worker_loop<S: RecordSource + ?Sized>(
         // slices out of the shared source, so the per-record
         // `labels().to_vec()` allocation is gone from the hot loop.
         stats.records_loaded.fetch_add(1, Ordering::Relaxed);
-        if rec_tx.send((images, idx)).is_err() {
-            return; // consumer gone
-        }
+        self.rec_tx.send((images, idx)).is_ok()
     }
+}
+
+/// Position and arrival instant of the window's earliest pending read.
+fn earliest(window: &[Pending]) -> Option<(usize, Instant)> {
+    window.iter().enumerate().map(|(i, p)| (i, p.ready)).min_by_key(|&(_, ready)| ready)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pcr_core::{PcrDatasetBuilder, SampleMeta};
-    use pcr_storage::DeviceProfile;
+    use pcr_storage::{Clock, DeviceProfile};
 
     fn make(n: usize, profile: DeviceProfile) -> (Arc<ObjectStore>, Arc<MetaDb>) {
         make_restart(n, profile, 0)
@@ -743,7 +858,8 @@ mod tests {
     fn emulated_io_latency_overlaps_across_workers() {
         // Skip decode so the epoch is pure emulated I/O: with per-request
         // latency dominating, W workers overlap W sleeps and the epoch
-        // shrinks accordingly even on a single core.
+        // shrinks accordingly even on a single core. One read in flight
+        // per worker, so only the worker count overlaps reads.
         let (store, db) = make(24, DeviceProfile::hdd_7200rpm());
         let run = |threads: usize| {
             let cfg = ParallelConfig {
@@ -753,6 +869,7 @@ mod tests {
                     ..LoaderConfig::at_group(1)
                 },
                 io: IoModel::EmulatedLatency,
+                prefetch_records: threads,
                 ..ParallelConfig::default()
             };
             ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg).run_epoch(0)
@@ -760,7 +877,7 @@ mod tests {
         let one = run(1);
         let six = run(6);
         // thread::sleep never returns early, so a single worker's epoch
-        // is floored at 24 serialized emulated seeks (~300ms) and any
+        // is floored at 6 serialized emulated seeks (~75ms) and any
         // epoch at one seek — assertable even under coarse clocks.
         assert!(one.wall_seconds > 0.012, "epoch covers at least one seek");
         assert_eq!(one.images, six.images);
@@ -771,6 +888,83 @@ mod tests {
                 "1 worker {:.3}s should be >2x slower than 6 workers {:.3}s",
                 one.wall_seconds, six.wall_seconds);
         }
+    }
+
+    #[test]
+    fn instant_io_keeps_one_read_in_flight_per_worker() {
+        // Instant reads arrive as they are issued, so no worker ever
+        // claims a second record ahead of its decode.
+        let (store, db) = make(12, DeviceProfile::ram());
+        let cfg = ParallelConfig { batch_size: 4, ..ParallelConfig::real(3, 10) };
+        let loader = ParallelLoader::new(store, db, cfg);
+        let stream = loader.spawn_epoch(0);
+        let images: usize = stream.batches.iter().map(|b| b.images.len()).sum();
+        let stats = Arc::clone(&stream.stats);
+        stream.join();
+        assert_eq!(images, 12);
+        let high_water = stats.inflight_high_water.load(Ordering::Relaxed);
+        assert!((1..=3).contains(&high_water), "high-water {high_water} with 3 workers");
+        assert_eq!(stats.io_wait_nanos.load(Ordering::Relaxed), 0, "instant reads never block");
+    }
+
+    #[test]
+    fn emulated_remote_io_fills_one_workers_window() {
+        // A remote first byte (~84ms) dwarfs a skip-decode record, so the
+        // single worker claims records until its window is full.
+        let (store, db) = make(24, DeviceProfile::remote_object_store());
+        let cfg = ParallelConfig {
+            loader: LoaderConfig { threads: 1, decode: DecodeMode::Skip, ..LoaderConfig::at_group(1) },
+            io: IoModel::EmulatedLatency,
+            prefetch_records: 4,
+            ..ParallelConfig::default()
+        };
+        let loader = ParallelLoader::new(store, db, cfg);
+        let stream = loader.spawn_epoch(0);
+        let labels: usize = stream.batches.iter().map(|b| b.labels.len()).sum();
+        let stats = Arc::clone(&stream.stats);
+        stream.join();
+        assert_eq!(labels, 24);
+        let high_water = stats.inflight_high_water.load(Ordering::Relaxed);
+        assert!(high_water > 1 && high_water <= 4, "high-water {high_water}, window 4");
+    }
+
+    #[test]
+    fn every_ladder_read_realizes_its_service_time() {
+        // Overwrite the start of the bytes group G adds to group G-1's
+        // prefix with a malformed scan header: the group-G read succeeds
+        // but does not decode, so every record walks the ladder to G-1
+        // and is read twice. One worker at depth 1 reads
+        // serially, so the epoch lasts at least the modeled service of
+        // both reads — the device's busy time, with the cache off.
+        const G: usize = 5;
+        let (clean, db) = make(16, DeviceProfile::hdd_7200rpm());
+        let store = ObjectStore::new(DeviceProfile::hdd_7200rpm());
+        for meta in &db.records {
+            let mut bytes = clean.read(Clock::Wall, &meta.name, 0, u64::MAX).unwrap().data.to_vec();
+            let (lo, hi) = (meta.prefix_len(G - 1) as usize, meta.prefix_len(G) as usize);
+            assert!(hi - lo > 5, "group {G} adds a scan");
+            bytes[lo..lo + 5].copy_from_slice(&[0xFF, 0xDA, 0x00, 0x03, 0x00]);
+            store.put(&meta.name, bytes);
+        }
+        let store = Arc::new(store);
+        let cfg = ParallelConfig {
+            loader: LoaderConfig { threads: 1, ..ParallelConfig::real(1, G).loader },
+            io: IoModel::EmulatedLatency,
+            prefetch_records: 1,
+            ..ParallelConfig::default()
+        };
+        let r = ParallelLoader::new(Arc::clone(&store), Arc::clone(&db), cfg).run_epoch(0);
+        assert_eq!(r.images, 16);
+        assert_eq!(r.faults.degraded_records, db.records.len() as u64);
+        let device = store.device_stats();
+        assert_eq!(device.reads, 2 * db.records.len() as u64);
+        // thread::sleep never returns early, so this bound is exact.
+        assert!(
+            r.wall_seconds >= device.busy_time,
+            "epoch {:.4}s shorter than the {:.4}s of modeled service it read",
+            r.wall_seconds,
+            device.busy_time
+        );
     }
 
     #[test]

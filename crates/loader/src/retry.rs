@@ -276,54 +276,126 @@ pub fn deliver_with_degradation<S: RecordSource + ?Sized>(
     decode_check: &mut dyn FnMut(&ReadResult, usize) -> DecodeCheck,
     out: &mut RetryOutcome,
 ) -> Delivery {
-    let requested = requested_group.max(1);
-    let mut last_failure = String::new();
-    let mut failed_plan: Option<(u64, u64)> = None;
-    for group in (1..=requested).rev() {
-        let plan = source.plan(idx, group);
-        // A lower group that plans the exact same bytes (clamped formats,
-        // baseline whole-object reads) cannot succeed where this one just
-        // failed — don't burn retries on it.
-        if failed_plan == Some((plan.offset, plan.len)) {
-            continue;
-        }
-        let key = mix((idx as u64) << 8 | group as u64);
-        match read_with_retry(store, &plan, timeline, policy, budget, key, sleep, out) {
-            Ok(read) => match decode_check(&read, group) {
-                DecodeCheck::Accepted => {
-                    return Delivery::Delivered {
-                        read,
-                        group,
-                        degraded: group < requested,
-                        images: Vec::new(),
+    let ladder = Ladder::new(store, source, idx, requested_group, timeline, policy, budget);
+    let read = ladder.read(ladder.requested, sleep, out);
+    match ladder.settle(ladder.requested, read, decode_check) {
+        Ok(delivery) => delivery,
+        Err(failed) => ladder.resume(failed, sleep, decode_check, out),
+    }
+}
+
+/// One record's walk down the degradation ladder: the context every rung
+/// shares. [`deliver_with_degradation`] runs the whole walk at once; the
+/// wall-clock workers split it, issuing the requested rung's read
+/// ([`Ladder::read`]) ahead of time and settling it ([`Ladder::settle`])
+/// once the read has arrived, resuming the walk ([`Ladder::resume`]) only
+/// when that first rung fails.
+pub(crate) struct Ladder<'a, S: RecordSource + ?Sized> {
+    store: &'a ObjectStore,
+    source: &'a S,
+    idx: usize,
+    /// The scan group asked for (at least 1): the ladder's top rung.
+    pub(crate) requested: usize,
+    timeline: Timeline,
+    policy: &'a RetryPolicy,
+    budget: &'a RetryBudget,
+}
+
+/// A rung that failed: which group, the byte range it planned (so a lower
+/// rung planning the same bytes is skipped), and why.
+pub(crate) struct RungFailure {
+    group: usize,
+    plan: (u64, u64),
+    reason: String,
+    /// The object itself is gone; no prefix can help.
+    object_gone: bool,
+}
+
+impl<'a, S: RecordSource + ?Sized> Ladder<'a, S> {
+    pub(crate) fn new(
+        store: &'a ObjectStore,
+        source: &'a S,
+        idx: usize,
+        requested_group: usize,
+        timeline: Timeline,
+        policy: &'a RetryPolicy,
+        budget: &'a RetryBudget,
+    ) -> Self {
+        Self { store, source, idx, requested: requested_group.max(1), timeline, policy, budget }
+    }
+
+    /// Reads the rung at `group` with retry/backoff. The jitter key is a
+    /// pure hash of `(record, group)`, so every caller replays the same
+    /// backoff sequence.
+    pub(crate) fn read(
+        &self,
+        group: usize,
+        sleep: &mut dyn FnMut(f64),
+        out: &mut RetryOutcome,
+    ) -> Result<ReadResult, ReadError> {
+        let plan = self.source.plan(self.idx, group);
+        let key = mix((self.idx as u64) << 8 | group as u64);
+        read_with_retry(self.store, &plan, self.timeline, self.policy, self.budget, key, sleep, out)
+    }
+
+    /// Judges the rung at `group` from its read: a delivery when the read
+    /// succeeded and passed `decode_check`, else the failure to resume
+    /// from.
+    pub(crate) fn settle(
+        &self,
+        group: usize,
+        read: Result<ReadResult, ReadError>,
+        decode_check: &mut dyn FnMut(&ReadResult, usize) -> DecodeCheck,
+    ) -> Result<Delivery, RungFailure> {
+        let plan = self.source.plan(self.idx, group);
+        let plan = (plan.offset, plan.len);
+        let (reason, object_gone) = match read {
+            Ok(read) => {
+                let images = match decode_check(&read, group) {
+                    DecodeCheck::Accepted => Vec::new(),
+                    DecodeCheck::Images(images) => images,
+                    DecodeCheck::Failed => {
+                        let reason =
+                            format!("undecodable at group {group} ({} bytes)", read.data.len());
+                        return Err(RungFailure { group, plan, reason, object_gone: false });
                     }
-                }
-                DecodeCheck::Images(images) => {
-                    return Delivery::Delivered {
-                        read,
-                        group,
-                        degraded: group < requested,
-                        images,
-                    }
-                }
-                DecodeCheck::Failed => {
-                    last_failure =
-                        format!("undecodable at group {group} ({} bytes)", read.data.len());
-                    failed_plan = Some((plan.offset, plan.len));
-                }
-            },
-            Err(e) => {
-                let not_found = matches!(e, ReadError::NotFound { .. });
-                last_failure = e.to_string();
-                failed_plan = Some((plan.offset, plan.len));
-                if not_found {
-                    // The object itself is gone; no prefix can help.
-                    break;
-                }
+                };
+                let degraded = group < self.requested;
+                return Ok(Delivery::Delivered { read, group, degraded, images });
+            }
+            Err(e) => (e.to_string(), matches!(e, ReadError::NotFound { .. })),
+        };
+        Err(RungFailure { group, plan, reason, object_gone })
+    }
+
+    /// Continues the walk below the rung that `failed`, one group at a
+    /// time, and quarantines when group 1 cannot be delivered either.
+    pub(crate) fn resume(
+        &self,
+        mut failed: RungFailure,
+        sleep: &mut dyn FnMut(f64),
+        decode_check: &mut dyn FnMut(&ReadResult, usize) -> DecodeCheck,
+        out: &mut RetryOutcome,
+    ) -> Delivery {
+        for group in (1..failed.group).rev() {
+            if failed.object_gone {
+                break;
+            }
+            // A lower group that plans the exact same bytes (clamped
+            // formats, baseline whole-object reads) cannot succeed where
+            // this one just failed — don't burn retries on it.
+            let plan = self.source.plan(self.idx, group);
+            if failed.plan == (plan.offset, plan.len) {
+                continue;
+            }
+            let read = self.read(group, sleep, out);
+            match self.settle(group, read, decode_check) {
+                Ok(delivery) => return delivery,
+                Err(f) => failed = f,
             }
         }
+        Delivery::Quarantined { reason: failed.reason }
     }
-    Delivery::Quarantined { reason: last_failure }
 }
 
 /// One quarantined record (detail kept for the first

@@ -9,6 +9,9 @@
 //! - degraded records are delivered at an intact shorter prefix: the
 //!   delivered group never exceeds the requested group, and the
 //!   `degraded` flag is set exactly when the ladder stepped down;
+//! - the wall-clock loader's read window changes only when reads are
+//!   issued: a depth-1 and a default-depth epoch under one plan report
+//!   the same faults and deliver the same pixels;
 //! - under fault kinds that never corrupt delivered bytes, every
 //!   delivered record's images decode **byte-identically** to a clean
 //!   truncated-prefix decode of the same record at the same group —
@@ -20,7 +23,7 @@
 use pcr::core::{MetaDb, PcrDatasetBuilder, RecordScratch, SampleMeta};
 use pcr::jpeg::ImageBuf;
 use pcr::loader::{
-    populate_store, DecodeMode, LoaderConfig, ParallelConfig, ParallelLoader, PcrLoader,
+    populate_store, DecodeMode, IoModel, LoaderConfig, ParallelConfig, ParallelLoader, PcrLoader,
     RecordSource, RetryPolicy,
 };
 use pcr::storage::{DeviceProfile, FaultPlan, ObjectStore};
@@ -115,6 +118,76 @@ fn arb_clean_bytes_plan() -> impl Strategy<Value = FaultPlan> {
             ..FaultPlan::default()
         },
     )
+}
+
+/// A plan over the fault kinds that decide what a read returns —
+/// transient errors, torn reads, corrupt ranges and bit flips — with no
+/// latency spikes or timeouts, which only change when it returns.
+fn arb_delivery_plan() -> impl Strategy<Value = FaultPlan> {
+    ((any::<u64>(), 0.0f64..0.4, 1u32..3), (0.0f64..0.3, 0.0f64..0.2, 0.0f64..0.3)).prop_map(
+        |((seed, transient, repeats), (torn, corrupt, bit_flip))| FaultPlan {
+            seed,
+            transient,
+            transient_repeats: repeats,
+            torn,
+            corrupt,
+            bit_flip,
+            ..FaultPlan::default()
+        },
+    )
+}
+
+/// What one wall-clock epoch delivered and how it recovered: the fault
+/// report's order-free parts, the quarantined records, and every
+/// delivered image's pixels, sorted.
+#[derive(Debug, PartialEq)]
+struct Delivered {
+    retries: u64,
+    backoff_s: f64,
+    degraded_records: u64,
+    quarantined_labels: BTreeMap<u32, u64>,
+    quarantined: Vec<usize>,
+    pixels: Vec<Vec<u8>>,
+}
+
+/// Runs one `EmulatedLatency` epoch on a fresh HDD-profile store under
+/// `plan`, with a read window of `prefetch_records / threads` per worker.
+fn windowed_epoch(plan: &FaultPlan, epoch: u64, group: usize, prefetch_records: usize) -> Delivered {
+    let store = ObjectStore::new(DeviceProfile::hdd_7200rpm());
+    populate_store(&store, dataset());
+    store.set_fault_plan(Some(plan.clone()));
+    let cfg = ParallelConfig {
+        loader: LoaderConfig {
+            threads: 2,
+            scan_group: group,
+            shuffle: true,
+            seed: 4,
+            decode: DecodeMode::Real,
+            retry: retry_policy(),
+        },
+        batch_size: 4,
+        io: IoModel::EmulatedLatency,
+        prefetch_records,
+        ..ParallelConfig::default()
+    };
+    let r = ParallelLoader::new(Arc::new(store), Arc::new(dataset().db.clone()), cfg);
+    let stream = r.spawn_epoch(epoch);
+    let mut pixels: Vec<Vec<u8>> =
+        stream.batches.iter().flat_map(|b| b.images).map(|i| i.data().to_vec()).collect();
+    let stats = Arc::clone(&stream.stats);
+    stream.join();
+    pixels.sort_unstable();
+    let faults = stats.fault_report();
+    let mut quarantined: Vec<usize> = faults.quarantine.iter().map(|q| q.record).collect();
+    quarantined.sort_unstable();
+    Delivered {
+        retries: faults.retries,
+        backoff_s: faults.backoff_s,
+        degraded_records: faults.degraded_records,
+        quarantined_labels: faults.quarantined_labels,
+        quarantined,
+        pixels,
+    }
 }
 
 fn retry_policy() -> RetryPolicy {
@@ -252,6 +325,26 @@ proptest! {
             *delivered.entry(label).or_insert(0) += count;
         }
         prop_assert_eq!(delivered, expected_labels(&ds.db));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Window depth changes when reads are issued, never what they
+    /// return: fault decisions and backoff jitter are pure hashes of
+    /// site, attempt and record, so a depth-1 epoch and a default-depth
+    /// epoch under the same plan recover identically and deliver the
+    /// same pixels.
+    #[test]
+    fn window_depth_does_not_change_what_is_delivered(
+        plan in arb_delivery_plan(),
+        epoch in 0u64..3,
+        group in 1usize..=NUM_GROUPS,
+    ) {
+        let shallow = windowed_epoch(&plan, epoch, group, 2);
+        let deep = windowed_epoch(&plan, epoch, group, ParallelConfig::default().prefetch_records);
+        prop_assert_eq!(shallow, deep);
     }
 }
 
